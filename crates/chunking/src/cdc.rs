@@ -401,6 +401,28 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Pins the cut points and fingerprints of the benchmark's chunker
+    /// configuration. Any drift here would change dedup ratios and stored
+    /// bytes, so a change to hashing or cutting must leave both as pinned.
+    #[test]
+    fn gear_boundaries_and_fingerprints_golden() {
+        let chunker = GearChunker::new(2048, 8192, 65536);
+        let data = random_data(4 << 20, 0x5348_4843);
+        let mut count = 0usize;
+        let mut h = shhc_hash::Fnv1a::new();
+        for c in chunker.chunk(&data) {
+            count += 1;
+            h.write_u64(c.offset as u64);
+            h.write_u64(c.data.len() as u64);
+            h.write(c.fingerprint.as_bytes());
+        }
+        assert_eq!(
+            (count, h.finish()),
+            (458, 0x1b37_a3c0_af1e_aabc),
+            "golden digest drifted"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_target_panics() {

@@ -247,8 +247,10 @@ pub struct RecoveryReport {
     /// at recovery — never replayed.
     pub torn: u64,
     /// Entries re-installed from replica peers: writes the node missed
-    /// while down. Bounded by the missed delta — peers probe before
-    /// shipping, so already-recovered entries are never resent.
+    /// while down, including records that replaced an insert-time
+    /// placeholder the node still holds. Bounded by the missed delta —
+    /// peers probe before shipping, so already-recovered entries are
+    /// never resent.
     pub resynced: u64,
     /// Re-sync migration chunks (wire frames) shipped.
     pub chunks: u64,
@@ -1277,7 +1279,8 @@ impl ShhcCluster {
     /// cluster re-syncs the *delta* it missed while down from replica
     /// peers — each running peer is scanned, entries whose replica set
     /// includes the restarted node are probed on it, and only the
-    /// missing ones are shipped (chunked wire frames, counted in
+    /// missing ones, or those whose value it missed, are shipped
+    /// (chunked wire frames, counted in
     /// [`ClusterStats::resync_moved`] / [`ClusterStats::resync_chunks`]).
     /// For a volatile node this degrades gracefully: nothing replays
     /// locally and re-sync ships the full replica set.
@@ -1292,7 +1295,7 @@ impl ShhcCluster {
         // a concurrent drain/rebalance scanning the same peers).
         let _membership = self.inner.membership.lock();
         let start = Instant::now();
-        {
+        let recovered: FpHashMap<Fingerprint, u64> = {
             let mut nodes = self.inner.nodes.write();
             let slot = nodes
                 .get_mut(node.index())
@@ -1308,19 +1311,32 @@ impl ShhcCluster {
                 }
                 SlotStatus::Crashed => {
                     // spawn_node replays the node's WAL (if any) before
-                    // the server loop takes its first request.
-                    *slot = spawn_node(node, self.inner.config.node_config.clone())?;
+                    // the server loop takes its first request. With
+                    // replicas to re-sync from, snapshot what it recovered
+                    // before traffic can reach it. Without the snapshot,
+                    // re-sync only installs what the node lacks.
+                    let fresh = spawn_node(node, self.inner.config.node_config.clone())?;
+                    let mut recovered = FpHashMap::default();
+                    if self.inner.config.replication > 1 {
+                        if let Ok(ControlReply::Scan(entries)) =
+                            self.control_via(fresh.sender.as_ref(), ControlMsg::Scan)
+                        {
+                            recovered.extend(entries);
+                        }
+                    }
+                    *slot = fresh;
                     slot.recovered = true;
+                    recovered
                 }
             }
-        }
+        };
         let mut report = RecoveryReport::default();
         if let ControlReply::Stats(snap) = self.control(node, ControlMsg::Stats)? {
             report.recovered_entries = snap.stats.recovered_entries;
             report.replayed = snap.stats.recovery_replayed;
             report.torn = snap.stats.recovery_torn;
         }
-        self.resync_from_peers(node, &mut report)?;
+        self.resync_from_peers(node, &recovered, &mut report)?;
         report.wall_clock = start.elapsed();
         Ok(report)
     }
@@ -1328,9 +1344,15 @@ impl ShhcCluster {
     /// Ships a warm-restarted node the entries it missed while down:
     /// scans every running peer, keeps the entries whose replica set
     /// includes `node`, and installs only what the node does not already
-    /// hold ([`ShhcCluster::install_missing`] probes first), so re-sync
-    /// traffic is bounded by the missed delta, not by store size.
-    fn resync_from_peers(&self, node: NodeId, report: &mut RecoveryReport) -> Result<()> {
+    /// hold or still holds with a stale recovered value
+    /// ([`ShhcCluster::install_missing`] probes first), so re-sync traffic
+    /// is bounded by the missed delta, not by store size.
+    fn resync_from_peers(
+        &self,
+        node: NodeId,
+        recovered: &FpHashMap<Fingerprint, u64>,
+        report: &mut RecoveryReport,
+    ) -> Result<()> {
         if self.inner.config.replication <= 1 {
             // Without replication no peer holds the node's entries;
             // there is nothing to pull.
@@ -1371,7 +1393,7 @@ impl ShhcCluster {
         let pages: Vec<(Fingerprint, u64)> = missing.into_iter().collect();
         let mut rb = RebalanceReport::default();
         for page in pages.chunks(chunk) {
-            if !self.install_missing(node, page, &mut rb)? {
+            if !self.install_missing(node, page, Some(recovered), &mut rb)? {
                 break;
             }
         }
@@ -1576,7 +1598,7 @@ impl ShhcCluster {
                 for page in pairs.chunks(chunk) {
                     // Dead replicas miss the fill; the next pass (or
                     // traffic) repairs them.
-                    if !self.install_missing(target, page, &mut report)? {
+                    if !self.install_missing(target, page, None, &mut report)? {
                         complete = false;
                         break;
                     }
@@ -1816,7 +1838,7 @@ impl ShhcCluster {
             }
             for (target, pairs) in by_target {
                 for page in pairs.chunks(chunk) {
-                    if !self.install_missing(target, page, report)? {
+                    if !self.install_missing(target, page, None, report)? {
                         break;
                     }
                 }
@@ -1843,10 +1865,23 @@ impl ShhcCluster {
     /// anti-entropy `moved` counts report real work and a converged pass
     /// ships nothing. Returns `false` when the target is down (callers
     /// skip its remaining pages).
+    ///
+    /// With `recovered` (warm-restart re-sync: what the target rebuilt
+    /// from its WAL before taking traffic), entries the target still
+    /// holds with that recovered value, where the page has another, are
+    /// re-recorded too: a record fanned out while the target was down
+    /// reached only its peers, leaving the target with its insert-time
+    /// placeholder. An entry the target changed since its restart is left
+    /// alone: traffic wrote it, which is at least as new as the page. Only a
+    /// record that lands between the probe and the overwrite can still be
+    /// replaced by the page's value; the backup service verifies every
+    /// cluster value against its store, so that would cost one redundant
+    /// upload, whose own record then fixes every replica.
     fn install_missing(
         &self,
         target: NodeId,
         page: &[(Fingerprint, u64)],
+        recovered: Option<&FpHashMap<Fingerprint, u64>>,
         report: &mut RebalanceReport,
     ) -> Result<bool> {
         let probe = Frame::QueryReq {
@@ -1854,8 +1889,8 @@ impl ShhcCluster {
             admission: Admission::Normal,
             fingerprints: page.iter().map(|(fp, _)| *fp).collect(),
         };
-        let exists = match self.exchange(target, &probe) {
-            Ok(Frame::LookupResp { exists, .. }) => exists,
+        let (exists, values) = match self.exchange(target, &probe) {
+            Ok(Frame::LookupResp { exists, values, .. }) => (exists, values),
             Ok(other) => return Err(unexpected(other)),
             Err(Error::Unavailable(_)) => return Ok(false),
             Err(e) => return Err(e),
@@ -1867,33 +1902,45 @@ impl ShhcCluster {
                 page.len()
             )));
         }
-        let missing: Vec<(Fingerprint, u64)> = page
-            .iter()
-            .zip(exists.iter())
-            .filter(|(_, present)| !**present)
-            .map(|(pair, _)| *pair)
-            .collect();
-        if missing.is_empty() {
-            return Ok(true);
-        }
-        let frame = Frame::MigrateReq {
-            correlation: self.next_correlation(),
-            pairs: missing.clone(),
-        };
-        match self.exchange(target, &frame) {
-            Ok(Frame::Ack { .. }) => {
-                report.chunks += 1;
-                report.moved += missing.len() as u64;
-                Ok(true)
+        let held = expand_values(&exists, &values)?;
+        let mut missing = Vec::new();
+        let mut stale = Vec::new();
+        for (&pair, (&present, &value)) in page.iter().zip(exists.iter().zip(&held)) {
+            if !present {
+                missing.push(pair);
+            } else if value != pair.1 && recovered.and_then(|r| r.get(&pair.0)) == Some(&value) {
+                stale.push(pair);
             }
-            Ok(other) => Err(unexpected(other)),
-            Err(Error::Unavailable(_)) => Ok(false),
-            Err(e) => Err(e),
         }
+        // Missing entries are installed (insert-if-absent, so a racing
+        // insert wins); stale ones are recorded (overwrite).
+        for (pairs, install) in [(missing, true), (stale, false)] {
+            if pairs.is_empty() {
+                continue;
+            }
+            let shipped = pairs.len() as u64;
+            let correlation = self.next_correlation();
+            let frame = if install {
+                Frame::MigrateReq { correlation, pairs }
+            } else {
+                Frame::RecordReq { correlation, pairs }
+            };
+            match self.exchange(target, &frame) {
+                Ok(Frame::Ack { .. }) => {
+                    report.chunks += 1;
+                    report.moved += shipped;
+                }
+                Ok(other) => return Err(unexpected(other)),
+                Err(Error::Unavailable(_)) => return Ok(false),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
     }
 
     /// Sends a control message over an already-extracted sender (used
-    /// during decommission, when the slot no longer owns it).
+    /// during decommission, when the slot no longer owns it, and on a
+    /// restarted node before its slot is published).
     fn control_via(
         &self,
         sender: Option<&Sender<NodeRequest>>,

@@ -357,15 +357,15 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
         let mut total = 0usize;
         let mut stored_bytes = 0u64;
 
-        let chunks: Vec<_> = self.inner.chunker.chunk(data).collect();
-        for window in chunks.chunks(self.inner.batch_size) {
+        let mut chunks: Vec<_> = self.inner.chunker.chunk(data).collect();
+        for window in chunks.chunks_mut(self.inner.batch_size) {
             let fps: Vec<Fingerprint> = window.iter().map(|c| c.fingerprint).collect();
             let answers = self.lookup_window(stream, &fps)?;
 
             let mut record_pairs: Vec<(Fingerprint, u64)> = Vec::new();
             #[allow(clippy::redundant_closure_call)] // try-block emulation
             let window_result: Result<()> = (|| {
-                for (chunk, answer) in window.iter().zip(&answers) {
+                for (chunk, answer) in window.iter_mut().zip(&answers) {
                     total += 1;
                     let len = chunk.data.len() as u32;
                     let resolved = if answer.existed {
@@ -404,11 +404,13 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
                         None => {
                             report_new += 1;
                             stored_bytes += chunk.data.len() as u64;
+                            // The payload is not read again: move it into
+                            // the store instead of copying it.
                             let id = self
                                 .inner
                                 .store
                                 .write()
-                                .put(chunk.fingerprint, chunk.data.clone())?;
+                                .put(chunk.fingerprint, std::mem::take(&mut chunk.data))?;
                             self.inner
                                 .pending_records
                                 .lock()

@@ -14,6 +14,24 @@
 //! - [`GearHasher`] — the gear rolling hash used by the FastCDC-style
 //!   chunker.
 //!
+//! # SHA-1 kernels
+//!
+//! [`Sha1`] compresses blocks with one of two kernels, chosen on every
+//! call that has whole blocks to compress. On x86-64 CPUs that report the
+//! SHA extensions (`sha1rnds4`/`sha1nexte`/`sha1msg1`/`sha1msg2`) and
+//! SSE4.1 it uses a hardware kernel; every other CPU and architecture uses
+//! the portable kernel, which also serves as the test oracle. Both give
+//! identical digests, so the choice is not configurable: no option,
+//! feature or build flag selects it, and everything built on [`Sha1`]
+//! ([`fingerprint_of`], the chunkers, chunk-store verification) speeds up
+//! without changes.
+//!
+//! The hardware kernel is a safe `#[target_feature]` function, but calling
+//! it from code compiled without those features needs one `unsafe` block
+//! after the CPUID check. This crate is therefore `deny(unsafe_code)`
+//! with that single, documented exception, where every other workspace
+//! crate is `forbid(unsafe_code)`.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,7 +44,7 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fnv;

@@ -119,48 +119,52 @@ impl Sha1 {
 
     /// Feeds `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress_blocks);
+    }
+
+    /// Consumes the hasher, producing the final digest.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress_blocks)
+    }
+
+    /// [`Sha1::update`] over an explicit block kernel.
+    fn update_with(&mut self, data: &[u8], kernel: impl Fn(&mut [u32; 5], &[u8])) {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut input = data;
 
         // Fill a partially buffered block first.
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(input.len());
+            let take = (64 - self.buf_len).min(input.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            kernel(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
 
-        // Whole blocks straight from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let arr: &[u8; 64] = block.try_into().expect("split_at(64) yields 64 bytes");
-            self.compress(arr);
-            input = rest;
+        // Every whole block straight from the input, in one kernel call.
+        let (blocks, tail) = input.split_at(input.len() - input.len() % 64);
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
         }
-
-        // Stash the tail.
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
-    /// Consumes the hasher, producing the final digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80 then zero padding up to 56 mod 64, then the length.
-        self.update_padding(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+    /// [`Sha1::finalize`] over an explicit block kernel.
+    fn finalize_with(mut self, kernel: impl Fn(&mut [u32; 5], &[u8])) -> Digest {
+        // The buffered tail, 0x80, zeros up to 56 mod 64, then the bit
+        // length: one padded block, or two when the tail leaves no room
+        // for the marker byte and the length.
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let n = if self.buf_len < 56 { 64 } else { 128 };
+        tail[n - 8..n].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        kernel(&mut self.state, &tail[..n]);
 
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
@@ -168,30 +172,57 @@ impl Sha1 {
         }
         Digest(out)
     }
+}
 
-    /// `update` without advancing the message length; used for padding.
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
+/// True when this CPU runs the SHA-extensions kernel.
+fn accelerated() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("sse2")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Compresses `blocks` (a whole number of 64-byte blocks) into `state`
+/// with the fastest kernel this CPU supports. The CPUID check runs once
+/// per call (std caches it), not once per block.
+fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    if accelerated() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: `shani::compress_blocks` is a safe function whose
+            // only requirement is the `sha`, `sse2` and `sse4.1` target
+            // features it enables; `accelerated()` has just confirmed all
+            // three via CPUID.
+            #[allow(unsafe_code)]
+            unsafe {
+                shani::compress_blocks(state, blocks)
+            };
+            return;
         }
     }
+    compress_blocks_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable kernel: the fallback on every other CPU and the oracle
+/// the accelerated kernel is tested against.
+fn compress_blocks_portable(state: &mut [u32; 5], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 80];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
         }
         for i in 16..80 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
         for (i, &wi) in w.iter().enumerate() {
             let (f, k) = match i {
                 0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
@@ -212,11 +243,96 @@ impl Sha1 {
             a = tmp;
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The x86-64 SHA-extensions kernel (`sha1rnds4`, `sha1nexte`,
+/// `sha1msg1`, `sha1msg2`). Lane 3 of each vector holds the first word:
+/// `abcd` is `[a, b, c, d]` from lane 3 down, and each message vector is
+/// four consecutive schedule words `W[4g..4g + 4]`.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_set_epi32, _mm_sha1msg1_epu32,
+        _mm_sha1msg2_epu32, _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_xor_si128,
+    };
+
+    /// Loads big-endian words `4i..4i + 4` of `block`, first word in lane 3.
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8; 64], i: usize) -> __m128i {
+        let w = |j: usize| {
+            let at = 16 * i + 4 * j;
+            i32::from_be_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]])
+        };
+        _mm_set_epi32(w(0), w(1), w(2), w(3))
+    }
+
+    #[target_feature(enable = "sha,sse2,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+        let [a, b, c, d, e] = state.map(|v| v as i32);
+        let mut abcd = _mm_set_epi32(a, b, c, d);
+        let mut e = _mm_set_epi32(e, 0, 0, 0);
+
+        for block in blocks.chunks_exact(64) {
+            let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+            let (abcd_in, e_in) = (abcd, e);
+            // The last four message vectors; group g uses w[g % 4].
+            let mut w = [0, 1, 2, 3].map(|i| load(block, i));
+            // `prev` is the state four rounds back: `sha1nexte` derives the
+            // next group's E from its A.
+            let mut prev = abcd;
+            abcd = _mm_sha1rnds4_epu32::<0>(abcd, _mm_add_epi32(e, w[0]));
+
+            // One group of four rounds: extend the schedule once the
+            // block's own 16 words are used up, then run the rounds with
+            // the round function and constant of `$f`.
+            macro_rules! group {
+                ($g:literal, $f:literal) => {
+                    if $g >= 4 {
+                        let x = _mm_sha1msg1_epu32(w[$g % 4], w[($g + 1) % 4]);
+                        let x = _mm_xor_si128(x, w[($g + 2) % 4]);
+                        w[$g % 4] = _mm_sha1msg2_epu32(x, w[($g + 3) % 4]);
+                    }
+                    let e_w = _mm_sha1nexte_epu32(prev, w[$g % 4]);
+                    prev = abcd;
+                    abcd = _mm_sha1rnds4_epu32::<$f>(abcd, e_w);
+                };
+            }
+            group!(1, 0);
+            group!(2, 0);
+            group!(3, 0);
+            group!(4, 0);
+            group!(5, 1);
+            group!(6, 1);
+            group!(7, 1);
+            group!(8, 1);
+            group!(9, 1);
+            group!(10, 2);
+            group!(11, 2);
+            group!(12, 2);
+            group!(13, 2);
+            group!(14, 2);
+            group!(15, 3);
+            group!(16, 3);
+            group!(17, 3);
+            group!(18, 3);
+            group!(19, 3);
+
+            abcd = _mm_add_epi32(abcd, abcd_in);
+            e = _mm_sha1nexte_epu32(prev, e_in);
+        }
+
+        *state = [
+            _mm_extract_epi32::<3>(abcd),
+            _mm_extract_epi32::<2>(abcd),
+            _mm_extract_epi32::<1>(abcd),
+            _mm_extract_epi32::<0>(abcd),
+            _mm_extract_epi32::<3>(e),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -224,6 +340,30 @@ impl Sha1 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    type Kernel = fn(&mut [u32; 5], &[u8]);
+
+    /// The kernels this host can run: always the portable one, plus the
+    /// SHA-extensions kernel (reached through the dispatcher) when the CPU
+    /// has it. A host without it says so instead of passing vacuously.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut out: Vec<(&'static str, Kernel)> = vec![("portable", compress_blocks_portable)];
+        if accelerated() {
+            out.push(("sha-ni", compress_blocks));
+        } else {
+            eprintln!("sha-ni kernel skipped: this CPU lacks the SHA extensions");
+        }
+        out
+    }
+
+    /// Hashes `parts` as consecutive `update`s on `kernel`.
+    fn digest_parts(kernel: Kernel, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha1::new();
+        for part in parts {
+            h.update_with(part, kernel);
+        }
+        h.finalize_with(kernel)
+    }
 
     /// RFC 3174 / well-known test vectors.
     #[test]
@@ -244,6 +384,15 @@ mod tests {
                 "de9f2c7fd25e1b3afad3e85a0bd17d9b100db4b3",
             ),
         ];
+        for (name, kernel) in kernels() {
+            for (input, hex) in cases {
+                assert_eq!(
+                    digest_parts(kernel, &[input]).to_hex(),
+                    *hex,
+                    "{name}: input {input:?}"
+                );
+            }
+        }
         for (input, hex) in cases {
             assert_eq!(Sha1::digest(input).to_hex(), *hex, "input {input:?}");
         }
@@ -251,28 +400,34 @@ mod tests {
 
     #[test]
     fn million_a() {
-        let mut h = Sha1::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        let parts = [&chunk[..]; 1000];
+        for (name, kernel) in kernels() {
+            assert_eq!(
+                digest_parts(kernel, &parts).to_hex(),
+                "34aa973cd4c4daa4f61eeb2bdbad27316534016f",
+                "{name}"
+            );
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-        );
     }
 
     #[test]
     fn exact_block_boundary() {
-        // 64- and 55/56-byte messages exercise the padding edge cases.
+        // 55/56 bytes is where the length stops fitting in the last block;
+        // 63..65 and 127/128 straddle whole blocks.
         for n in [55usize, 56, 63, 64, 65, 127, 128] {
-            let data = vec![0x5a; n];
-            let one_shot = Sha1::digest(&data);
-            let mut streaming = Sha1::new();
-            for b in &data {
-                streaming.update(std::slice::from_ref(b));
+            let data: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
+            let oracle = digest_parts(compress_blocks_portable, &[&data]);
+            let bytewise: Vec<&[u8]> = data.chunks(1).collect();
+            for (name, kernel) in kernels() {
+                assert_eq!(digest_parts(kernel, &[&data]), oracle, "{name}: length {n}");
+                assert_eq!(
+                    digest_parts(kernel, &bytewise),
+                    oracle,
+                    "{name}: length {n}"
+                );
             }
-            assert_eq!(streaming.finalize(), one_shot, "length {n}");
+            assert_eq!(Sha1::digest(&data), oracle, "length {n}");
         }
     }
 
@@ -293,6 +448,22 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             prop_assert_eq!(h.finalize(), Sha1::digest(&data));
+        }
+
+        /// Streaming updates split at random points give the portable
+        /// kernel's one-shot digest on every kernel.
+        #[test]
+        fn kernels_agree_on_streaming(data in proptest::collection::vec(any::<u8>(), 0..20_000),
+                                      cuts in proptest::collection::vec(0usize..20_000, 0..8)) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.push(0);
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &data[w[0]..w[1]]).collect();
+            let oracle = digest_parts(compress_blocks_portable, &[&data]);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(digest_parts(kernel, &parts), oracle, "{}", name);
+            }
         }
 
         /// Distinct single-bit flips change the digest (weak avalanche sanity).

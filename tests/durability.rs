@@ -67,6 +67,39 @@ fn acked_entries_survive_kill_nine_without_replication() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A record fanned out while a replica is down reaches only its peers,
+/// so the restarted replica still holds the fingerprint with the
+/// placeholder its insert invented. Warm re-sync must carry the recorded
+/// value over as well: reads take the value of the first replica in ring
+/// order that knows the fingerprint, and a stale placeholder there fails
+/// the chunk store's verification, so the chunk is uploaded again.
+#[test]
+fn warm_restart_resyncs_values_recorded_while_down() {
+    let dir = wal_dir("missed-record");
+    let cluster = ShhcCluster::spawn(durable_config(3, &dir).with_replication(2)).unwrap();
+    let batch = fps(0..600);
+    cluster.lookup_insert_batch(&batch).unwrap();
+
+    let victim = NodeId::new(1);
+    cluster.kill_node(victim).unwrap();
+    let pairs: Vec<(Fingerprint, u64)> = batch
+        .iter()
+        .zip(1_000_000u64..)
+        .map(|(fp, value)| (*fp, value))
+        .collect();
+    cluster.record_batch(&pairs).unwrap();
+    let report = cluster.restart_node(victim).unwrap();
+    assert!(report.resynced > 0, "no recorded value was re-synced");
+    assert!(report.chunks <= report.resynced);
+
+    let (exists, values) = cluster.lookup_insert_batch_values(&batch).unwrap();
+    assert!(exists.iter().all(|e| *e), "entries lost by the crash");
+    let recorded: Vec<u64> = pairs.iter().map(|(_, v)| *v).collect();
+    assert_eq!(values, recorded, "a replica kept a pre-crash placeholder");
+    cluster.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Dirty shutdown: every crash also tears the final journal and segment
 /// records. Recovery must detect the torn tails by checksum, truncate
 /// them, and still serve every acked entry.
