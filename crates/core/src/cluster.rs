@@ -5,16 +5,38 @@
 //! Batch operations run as a two-phase **scatter-gather pipeline**
 //! ([`DataPlane::Pipelined`], the default): phase 1 routes the batch into
 //! per-replica-set groups and *sends* every group's frame to every
-//! replica up front (each request carries a fresh reply channel and a
-//! correlation id that is verified on receipt); phase 2 gathers all
-//! replies under one shared deadline and merges them. A batch spanning N
-//! nodes therefore costs ≈ max of the per-node service times instead of
-//! their sum — the property the paper's throughput-scaling claim
-//! (Figure 5) rests on. The pre-pipeline behaviour — one blocking
-//! exchange per replica at a time — is kept as
-//! [`DataPlane::Sequential`], both as the measured baseline for the
-//! wall-clock scaling bench and as a semantic reference (the equivalence
-//! tests drive both).
+//! replica up front (each request carries a correlation id that is
+//! verified on receipt); phase 2 gathers all replies under one shared
+//! deadline and merges them. A batch spanning N nodes therefore costs ≈
+//! max of the per-node service times instead of their sum — the property
+//! the paper's throughput-scaling claim (Figure 5) rests on. The
+//! pre-pipeline behaviour — one blocking exchange per replica at a time —
+//! is kept as [`DataPlane::Sequential`], both as the measured baseline
+//! for the wall-clock scaling bench and as a semantic reference (the
+//! equivalence tests drive both).
+//!
+//! ## Who runs a frame
+//!
+//! The node's config picks its driver (see [`crate::server`]); there is
+//! no separate knob.
+//!
+//! - A single-shard node whose config injects no service time runs
+//!   **on the caller's thread**: the client thread that sends a frame
+//!   serves it itself under the node's mutex, and gets the encoded reply
+//!   back as ready bytes — no channel, no thread handoff. The frame is
+//!   served when the scatter reaches it, the point where it would
+//!   otherwise have been queued, so frames from concurrent clients reach
+//!   the node in the same order a server thread's queue would give them
+//!   (warm-restart re-sync relies on that order).
+//! - Nodes that model device time (`service_delay`, `batch_overhead`)
+//!   keep **one server thread** each: one caller cannot sleep for two
+//!   nodes at once, and the pipelined plane's max-not-sum overlap of
+//!   service times is what those models exist to measure.
+//! - Sharded and reader-pool nodes keep their dispatcher and worker
+//!   threads, which parallelize work *inside* a node.
+//!
+//! All nodes of a cluster share one config, so a cluster is either
+//! entirely caller-run or entirely threaded.
 //!
 //! # Control plane: epoch-versioned membership
 //!
@@ -54,7 +76,7 @@ use shhc_types::{Admission, Error, Fingerprint, FpHashMap, FpHashSet, NodeId, Re
 
 use crate::server::{
     node_loop, sharded_node_loop, AutotuneOptions, AutotuneReport, ControlMsg, ControlReply,
-    NodeRequest, NodeSnapshot,
+    InlineNode, NodeRequest, NodeSnapshot,
 };
 
 /// Evacuation passes a drain attempts before reporting leftovers. Each
@@ -71,9 +93,10 @@ pub enum DataPlane {
     /// latency tracks the slowest node, not the sum over nodes.
     #[default]
     Pipelined,
-    /// One blocking request-reply exchange per replica at a time. Kept
-    /// as the measured baseline (`ext_wallclock_scaling` bench) and as
-    /// the semantic reference for equivalence tests.
+    /// One blocking request-reply exchange per replica at a time: the
+    /// same scatter-gather, with each frame sent only when its reply is
+    /// gathered. Kept as the measured baseline (`ext_wallclock_scaling`
+    /// bench) and as the semantic reference for equivalence tests.
     Sequential,
 }
 
@@ -88,10 +111,13 @@ pub struct ClusterConfig {
     pub vnodes: u32,
     /// Number of replicas per fingerprint (1 = no replication).
     pub replication: usize,
-    /// How long a client waits for a node's reply before declaring it
-    /// unavailable. Under [`DataPlane::Pipelined`] this bounds the
-    /// *whole* gather phase of a batch; under [`DataPlane::Sequential`]
-    /// each replica exchange gets the full timeout.
+    /// How long a client waits for a node thread's reply before
+    /// declaring the node unavailable. Under [`DataPlane::Pipelined`]
+    /// this bounds the *whole* gather phase of a batch; under
+    /// [`DataPlane::Sequential`] each replica exchange gets the full
+    /// timeout. It applies only to threaded nodes: a caller-run node
+    /// serves the frame on the waiting thread, which cannot time itself
+    /// out (see the [module docs](self)).
     pub request_timeout: Duration,
     /// Batch servicing strategy.
     pub data_plane: DataPlane,
@@ -272,8 +298,18 @@ enum SlotStatus {
     Drained,
 }
 
+/// How requests reach a running node (see the [module docs](self)).
+#[derive(Clone)]
+enum NodeDriver {
+    /// A server thread owns the node; requests go over its channel.
+    Thread(Sender<NodeRequest>),
+    /// The node runs on its callers' threads under its mutex.
+    Inline(Arc<InlineNode>),
+}
+
 struct NodeSlot {
-    sender: Option<Sender<NodeRequest>>,
+    driver: Option<NodeDriver>,
+    /// The server thread of a threaded node.
     handle: Option<JoinHandle<()>>,
     status: SlotStatus,
     /// True for a running node that rejoined via a warm restart
@@ -343,11 +379,21 @@ struct RouteGroup {
     fingerprints: Vec<Fingerprint>,
 }
 
-/// A reply owed by one replica: the receiver if the send succeeded, or
-/// the send-time failure (node down).
+/// A reply owed by one replica, or the send-time failure (node down).
 struct PendingReply {
     node: NodeId,
-    reply: Result<Receiver<Bytes>>,
+    reply: Result<Reply>,
+}
+
+/// How a scattered frame's reply arrives.
+enum Reply {
+    /// A caller-run node already served the frame.
+    Ready(Bytes),
+    /// A node thread answers on this channel.
+    Waiting(Receiver<Bytes>),
+    /// [`DataPlane::Sequential`]: the frame is sent when the reply is
+    /// gathered, so one exchange is in flight at a time.
+    Unsent(Bytes),
 }
 
 /// All replies owed for one scattered group.
@@ -356,12 +402,11 @@ struct PendingGroup {
     replies: Vec<PendingReply>,
 }
 
-/// The scalable hybrid hash cluster: a set of node server threads behind
+/// The scalable hybrid hash cluster: a set of hash nodes behind
 /// consistent-hash routing — the paper's SHHC tier.
 ///
 /// Handles are cheaply cloneable; all operations take `&self`, so many
-/// client threads can drive the cluster concurrently (each request gets
-/// its own reply channel).
+/// client threads can drive the cluster concurrently.
 ///
 /// See the [crate docs](crate) for a quick-start example and the
 /// [module docs](self) for the data-plane concurrency model.
@@ -381,7 +426,8 @@ impl std::fmt::Debug for ShhcCluster {
 }
 
 impl ShhcCluster {
-    /// Spawns the cluster: one server thread per node.
+    /// Spawns the cluster's nodes, each with the driver its config picks
+    /// (see the [module docs](self)).
     ///
     /// # Errors
     ///
@@ -461,28 +507,35 @@ impl ShhcCluster {
         self.inner.correlation.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn data_sender(&self, node: NodeId) -> Result<Sender<NodeRequest>> {
+    fn driver(&self, node: NodeId) -> Result<NodeDriver> {
         let nodes = self.inner.nodes.read();
         let slot = nodes
             .get(node.index())
             .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
-        slot.sender
-            .clone()
-            .ok_or_else(|| Error::Unavailable(format!("{node} is down")))
+        slot.driver.clone().ok_or_else(|| down(node))
     }
 
-    /// Ships an already-encoded frame to `node` without waiting, handing
-    /// back the reply channel — the scatter half of the pipeline.
-    fn send_data(&self, node: NodeId, frame: Bytes) -> Result<Receiver<Bytes>> {
-        let sender = self.data_sender(node)?;
-        let (reply_tx, reply_rx) = unbounded();
-        sender
-            .send(NodeRequest::Data {
-                frame,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Unavailable(format!("{node} is down")))?;
-        Ok(reply_rx)
+    /// Ships an already-encoded frame to `node` — the scatter half of the
+    /// pipeline. A node thread gets it queued; a caller-run node serves
+    /// it right here, so it orders the frame against other callers' at
+    /// the same point a thread's queue would.
+    fn send_data(&self, node: NodeId, frame: Bytes) -> Result<Reply> {
+        match self.driver(node)? {
+            NodeDriver::Inline(inline) => inline
+                .serve(&frame)
+                .map(Reply::Ready)
+                .ok_or_else(|| down(node)),
+            NodeDriver::Thread(sender) => {
+                let (reply_tx, reply_rx) = unbounded();
+                sender
+                    .send(NodeRequest::Data {
+                        frame,
+                        reply: reply_tx,
+                    })
+                    .map_err(|_| down(node))?;
+                Ok(Reply::Waiting(reply_rx))
+            }
+        }
     }
 
     /// Sends a data-plane frame to `node` and awaits the decoded reply
@@ -496,11 +549,12 @@ impl ShhcCluster {
     /// loops over a group's replicas encode once and clone the refcounted
     /// buffer (the sequential baseline's inner step).
     fn exchange_encoded(&self, node: NodeId, correlation: u64, frame: Bytes) -> Result<Frame> {
-        let reply_rx = self.send_data(node, frame)?;
-        let bytes = reply_rx
-            .recv_timeout(self.inner.config.request_timeout)
-            .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?;
-        verify_reply(node, correlation, &bytes)
+        let pending = PendingReply {
+            node,
+            reply: self.send_data(node, frame),
+        };
+        let deadline = Instant::now() + self.inner.config.request_timeout;
+        self.gather_one(pending, correlation, deadline)
     }
 
     /// The gather half of the pipeline: awaits one replica's reply under
@@ -511,16 +565,29 @@ impl ShhcCluster {
         correlation: u64,
         deadline: Instant,
     ) -> Result<Frame> {
-        let rx = pending.reply?;
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        let bytes = rx
-            .recv_timeout(remaining)
-            .map_err(|_| Error::Unavailable(format!("{} did not reply", pending.node)))?;
-        verify_reply(pending.node, correlation, &bytes)
+        let node = pending.node;
+        let bytes = match pending.reply? {
+            Reply::Unsent(frame) => return self.exchange_encoded(node, correlation, frame),
+            Reply::Ready(bytes) => bytes,
+            Reply::Waiting(rx) => rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?,
+        };
+        verify_reply(node, correlation, &bytes)
+    }
+
+    /// Scatters one frame to `node`: sends it now under the pipelined
+    /// plane, or leaves it for the gather under the sequential one.
+    fn post(&self, node: NodeId, frame: &Bytes) -> PendingReply {
+        let reply = match self.inner.config.data_plane {
+            DataPlane::Pipelined => self.send_data(node, frame.clone()),
+            DataPlane::Sequential => Ok(Reply::Unsent(frame.clone())),
+        };
+        PendingReply { node, reply }
     }
 
     /// Phase 1: encode each group's frame exactly once (fingerprints
-    /// moved, not cloned) and send it to every replica of the group.
+    /// moved, not cloned) and post it to every replica of the group.
     fn scatter_frames(
         &self,
         groups: &mut [RouteGroup],
@@ -537,10 +604,7 @@ impl ShhcCluster {
                 let replies = group
                     .replicas
                     .iter()
-                    .map(|&node| PendingReply {
-                        node,
-                        reply: self.send_data(node, bytes.clone()),
-                    })
+                    .map(|&node| self.post(node, &bytes))
                     .collect();
                 PendingGroup {
                     correlation,
@@ -551,17 +615,7 @@ impl ShhcCluster {
     }
 
     fn control(&self, node: NodeId, msg: ControlMsg) -> Result<ControlReply> {
-        let sender = self.data_sender(node)?;
-        let (reply_tx, reply_rx) = unbounded();
-        sender
-            .send(NodeRequest::Control {
-                msg,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Unavailable(format!("{node} is down")))?;
-        let reply = reply_rx
-            .recv_timeout(self.inner.config.request_timeout)
-            .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?;
+        let reply = self.control_via(node, Some(&self.driver(node)?), msg)?;
         if let ControlReply::Failed(m) = &reply {
             return Err(Error::Io(format!("{node} control failed: {m}")));
         }
@@ -651,64 +705,32 @@ impl ShhcCluster {
             stream: StreamId::new(0),
             fingerprints: std::mem::take(&mut g.fingerprints),
         };
-        match self.inner.config.data_plane {
-            DataPlane::Pipelined => {
-                let pending = self.scatter_frames(&mut groups, make);
-                let deadline = Instant::now() + self.inner.config.request_timeout;
-                for (group, sent) in groups.iter().zip(pending) {
-                    let mut replies = Vec::new();
-                    let mut last_err = None;
-                    for p in sent.replies {
-                        let node = p.node;
-                        match self.gather_one(p, sent.correlation, deadline) {
-                            Ok(Frame::LookupResp {
-                                exists: e,
-                                values: v,
-                                ..
-                            }) => collect_reply(&mut replies, &mut last_err, node, e, v),
-                            Ok(other) => last_err = Some(unexpected(other)),
-                            Err(e) => last_err = Some(e),
-                        }
-                    }
-                    merge_replies(
-                        group,
-                        fps,
-                        replies,
-                        last_err,
-                        &mut exists,
-                        &mut values,
-                        &mut repairs,
-                    )?;
+        let pending = self.scatter_frames(&mut groups, make);
+        let deadline = Instant::now() + self.inner.config.request_timeout;
+        for (group, sent) in groups.iter().zip(pending) {
+            let mut replies = Vec::new();
+            let mut last_err = None;
+            for p in sent.replies {
+                let node = p.node;
+                match self.gather_one(p, sent.correlation, deadline) {
+                    Ok(Frame::LookupResp {
+                        exists: e,
+                        values: v,
+                        ..
+                    }) => collect_reply(&mut replies, &mut last_err, node, e, v),
+                    Ok(other) => last_err = Some(unexpected(other)),
+                    Err(e) => last_err = Some(e),
                 }
             }
-            DataPlane::Sequential => {
-                for group in &mut groups {
-                    let correlation = self.next_correlation();
-                    let bytes = encode(&make(group, correlation));
-                    let mut replies = Vec::new();
-                    let mut last_err = None;
-                    for &node in &group.replicas {
-                        match self.exchange_encoded(node, correlation, bytes.clone()) {
-                            Ok(Frame::LookupResp {
-                                exists: e,
-                                values: v,
-                                ..
-                            }) => collect_reply(&mut replies, &mut last_err, node, e, v),
-                            Ok(other) => last_err = Some(unexpected(other)),
-                            Err(e) => last_err = Some(e),
-                        }
-                    }
-                    merge_replies(
-                        group,
-                        fps,
-                        replies,
-                        last_err,
-                        &mut exists,
-                        &mut values,
-                        &mut repairs,
-                    )?;
-                }
-            }
+            merge_replies(
+                group,
+                fps,
+                replies,
+                last_err,
+                &mut exists,
+                &mut values,
+                &mut repairs,
+            )?;
         }
         // Read repair: replicas that answered "new" for a fingerprint a
         // peer knew just inserted a locally-invented value; overwrite it
@@ -875,111 +897,47 @@ impl ShhcCluster {
             admission,
             fingerprints: std::mem::take(&mut g.fingerprints),
         };
-        match self.inner.config.data_plane {
-            DataPlane::Pipelined => {
-                // Phase 1: one request per group, to the primary only;
-                // keep the encoded frame around for the failure fallback.
-                let pending: Vec<(u64, Bytes, PendingReply)> = groups
-                    .iter_mut()
-                    .map(|group| {
-                        let correlation = self.next_correlation();
-                        let bytes = encode(&make(group, correlation));
-                        let primary = group.replicas[0];
-                        let reply = self.send_data(primary, bytes.clone());
-                        (
-                            correlation,
-                            bytes,
-                            PendingReply {
-                                node: primary,
-                                reply,
-                            },
-                        )
-                    })
-                    .collect();
-                // Phase 2: gather; a failed primary falls back to the
-                // remaining replicas in ring order.
-                let deadline = Instant::now() + self.inner.config.request_timeout;
-                for (group, (correlation, bytes, primary)) in groups.iter().zip(pending) {
-                    let mut last_err = None;
-                    let mut answered = match self.gather_one(primary, correlation, deadline) {
-                        Ok(Frame::LookupResp {
-                            exists: e,
-                            values: v,
-                            ..
-                        }) => {
-                            scatter_positions(&group.positions, &e, &v, &mut exists, &mut values)?;
-                            true
-                        }
-                        Ok(other) => {
-                            last_err = Some(unexpected(other));
-                            false
-                        }
-                        Err(e) => {
-                            last_err = Some(e);
-                            false
-                        }
-                    };
-                    for &node in group.replicas.iter().skip(1) {
-                        if answered {
-                            break;
-                        }
-                        match self.exchange_encoded(node, correlation, bytes.clone()) {
-                            Ok(Frame::LookupResp {
-                                exists: e,
-                                values: v,
-                                ..
-                            }) => {
-                                scatter_positions(
-                                    &group.positions,
-                                    &e,
-                                    &v,
-                                    &mut exists,
-                                    &mut values,
-                                )?;
-                                answered = true;
-                            }
-                            Ok(other) => last_err = Some(unexpected(other)),
-                            Err(e) => last_err = Some(e),
-                        }
+        // Phase 1: one request per group, to the primary only; keep the
+        // encoded frame around for the failure fallback.
+        let pending: Vec<(u64, Bytes, PendingReply)> = groups
+            .iter_mut()
+            .map(|group| {
+                let correlation = self.next_correlation();
+                let bytes = encode(&make(group, correlation));
+                let primary = self.post(group.replicas[0], &bytes);
+                (correlation, bytes, primary)
+            })
+            .collect();
+        // Phase 2: gather; a failed primary falls back to the remaining
+        // replicas in ring order.
+        let deadline = Instant::now() + self.inner.config.request_timeout;
+        for (group, (correlation, bytes, primary)) in groups.iter().zip(pending) {
+            let mut primary = Some(primary);
+            let mut last_err = None;
+            let mut answered = false;
+            for &node in &group.replicas {
+                let reply = match primary.take() {
+                    Some(p) => self.gather_one(p, correlation, deadline),
+                    None => self.exchange_encoded(node, correlation, bytes.clone()),
+                };
+                match reply {
+                    Ok(Frame::LookupResp {
+                        exists: e,
+                        values: v,
+                        ..
+                    }) => {
+                        scatter_positions(&group.positions, &e, &v, &mut exists, &mut values)?;
+                        answered = true;
+                        break;
                     }
-                    if !answered {
-                        return Err(last_err
-                            .unwrap_or_else(|| Error::Unavailable("no replica answered".into())));
-                    }
+                    Ok(other) => last_err = Some(unexpected(other)),
+                    Err(e) => last_err = Some(e),
                 }
             }
-            DataPlane::Sequential => {
-                for group in &mut groups {
-                    let correlation = self.next_correlation();
-                    let bytes = encode(&make(group, correlation));
-                    let mut answered = false;
-                    let mut last_err = None;
-                    for &node in &group.replicas {
-                        match self.exchange_encoded(node, correlation, bytes.clone()) {
-                            Ok(Frame::LookupResp {
-                                exists: e,
-                                values: v,
-                                ..
-                            }) => {
-                                scatter_positions(
-                                    &group.positions,
-                                    &e,
-                                    &v,
-                                    &mut exists,
-                                    &mut values,
-                                )?;
-                                answered = true;
-                                break;
-                            }
-                            Ok(other) => last_err = Some(unexpected(other)),
-                            Err(e) => last_err = Some(e),
-                        }
-                    }
-                    if !answered {
-                        return Err(last_err
-                            .unwrap_or_else(|| Error::Unavailable("no replica answered".into())));
-                    }
-                }
+            if !answered {
+                return Err(
+                    last_err.unwrap_or_else(|| Error::Unavailable("no replica answered".into()))
+                );
             }
         }
         // Dual-read for misses inside in-flight migration ranges.
@@ -1068,46 +1026,24 @@ impl ShhcCluster {
     fn acked_fanout(
         &self,
         groups: &mut [RouteGroup],
-        mut make_frame: impl FnMut(&mut RouteGroup, u64) -> Frame,
+        make_frame: impl FnMut(&mut RouteGroup, u64) -> Frame,
     ) -> Result<()> {
-        match self.inner.config.data_plane {
-            DataPlane::Pipelined => {
-                let pending = self.scatter_frames(groups, make_frame);
-                let deadline = Instant::now() + self.inner.config.request_timeout;
-                for sent in pending {
-                    let mut any_ok = false;
-                    let mut last_err = None;
-                    for p in sent.replies {
-                        match self.gather_one(p, sent.correlation, deadline) {
-                            Ok(Frame::Ack { .. }) => any_ok = true,
-                            Ok(other) => last_err = Some(unexpected(other)),
-                            Err(e) => last_err = Some(e),
-                        }
-                    }
-                    if !any_ok {
-                        return Err(last_err
-                            .unwrap_or_else(|| Error::Unavailable("no replica answered".into())));
-                    }
+        let pending = self.scatter_frames(groups, make_frame);
+        let deadline = Instant::now() + self.inner.config.request_timeout;
+        for sent in pending {
+            let mut any_ok = false;
+            let mut last_err = None;
+            for p in sent.replies {
+                match self.gather_one(p, sent.correlation, deadline) {
+                    Ok(Frame::Ack { .. }) => any_ok = true,
+                    Ok(other) => last_err = Some(unexpected(other)),
+                    Err(e) => last_err = Some(e),
                 }
             }
-            DataPlane::Sequential => {
-                for group in groups.iter_mut() {
-                    let correlation = self.next_correlation();
-                    let bytes = encode(&make_frame(group, correlation));
-                    let mut any_ok = false;
-                    let mut last_err = None;
-                    for &node in &group.replicas {
-                        match self.exchange_encoded(node, correlation, bytes.clone()) {
-                            Ok(Frame::Ack { .. }) => any_ok = true,
-                            Ok(other) => last_err = Some(unexpected(other)),
-                            Err(e) => last_err = Some(e),
-                        }
-                    }
-                    if !any_ok {
-                        return Err(last_err
-                            .unwrap_or_else(|| Error::Unavailable("no replica answered".into())));
-                    }
-                }
+            if !any_ok {
+                return Err(
+                    last_err.unwrap_or_else(|| Error::Unavailable("no replica answered".into()))
+                );
             }
         }
         Ok(())
@@ -1203,8 +1139,8 @@ impl ShhcCluster {
         Ok(())
     }
 
-    /// Simulates a node crash: the node stops accepting requests and its
-    /// thread exits *without* closing its store — in-RAM state is lost
+    /// Simulates a node crash: the node stops accepting requests and is
+    /// dropped *without* closing its store — in-RAM state is lost
     /// (as with a machine failure) and, for WAL-backed nodes, any
     /// configured [`shhc_flash::FaultPlan`] dirties the log tails. With
     /// `replication > 1`, lookups keep working via the replicas; a
@@ -1215,7 +1151,7 @@ impl ShhcCluster {
     ///
     /// [`Error::InvalidArgument`] for an unknown node.
     pub fn kill_node(&self, node: NodeId) -> Result<()> {
-        let (sender, handle) = {
+        let (driver, handle) = {
             let mut nodes = self.inner.nodes.write();
             let slot = nodes
                 .get_mut(node.index())
@@ -1223,9 +1159,21 @@ impl ShhcCluster {
             if slot.status == SlotStatus::Running {
                 slot.status = SlotStatus::Crashed;
             }
-            (slot.sender.take(), slot.handle.take())
+            (slot.driver.take(), slot.handle.take())
         };
-        drop(sender);
+        // A caller-run node is taken out once its in-flight frame (if
+        // any) finishes and dropped unclosed here; callers still holding
+        // its handle find it down. A node thread drains its queue and
+        // exits when the last sender is gone.
+        if let Some(NodeDriver::Inline(inline)) = &driver {
+            drop(inline.kill());
+        }
+        drop(driver);
+        self.join(node, handle)
+    }
+
+    /// Waits for a stopped node's server thread, if it has one.
+    fn join(&self, node: NodeId, handle: Option<JoinHandle<()>>) -> Result<()> {
         if let Some(handle) = handle {
             let _guard = self.inner.join_guard.lock();
             handle
@@ -1248,28 +1196,37 @@ impl ShhcCluster {
     /// [`Error::InvalidArgument`] if the node is still alive, was drained
     /// (a drained node left the ring for good), or is unknown.
     pub fn restart_cold(&self, node: NodeId) -> Result<()> {
-        let mut nodes = self.inner.nodes.write();
+        let _membership = self.inner.membership.lock();
+        self.check_crashed(node)?;
+        // A cold standby must come back empty — discard the crashed
+        // node's durable state before respawning (no-op for volatile
+        // configs).
+        self.inner
+            .config
+            .node_config
+            .durability
+            .scoped(format!("n{}", node.index()))
+            .wipe();
+        let fresh = spawn_node(node, self.inner.config.node_config.clone())?;
+        self.inner.nodes.write()[node.index()] = fresh;
+        Ok(())
+    }
+
+    /// Checks that `node` is a crashed slot a restart may respawn. Both
+    /// restarts check under the membership lock, which keeps the slot
+    /// crashed until they publish the fresh node: every restart holds it,
+    /// and a kill leaves a crashed slot as it is.
+    fn check_crashed(&self, node: NodeId) -> Result<()> {
+        let nodes = self.inner.nodes.read();
         let slot = nodes
-            .get_mut(node.index())
+            .get(node.index())
             .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
         match slot.status {
+            SlotStatus::Crashed => Ok(()),
             SlotStatus::Running => Err(Error::invalid(format!("{node} is still running"))),
             SlotStatus::Drained => Err(Error::invalid(format!(
                 "{node} was drained; decommissioned nodes cannot restart"
             ))),
-            SlotStatus::Crashed => {
-                // A cold standby must come back empty — discard the
-                // crashed node's durable state before respawning (no-op
-                // for volatile configs).
-                self.inner
-                    .config
-                    .node_config
-                    .durability
-                    .scoped(format!("n{}", node.index()))
-                    .wipe();
-                *slot = spawn_node(node, self.inner.config.node_config.clone())?;
-                Ok(())
-            }
         }
     }
 
@@ -1295,41 +1252,23 @@ impl ShhcCluster {
         // a concurrent drain/rebalance scanning the same peers).
         let _membership = self.inner.membership.lock();
         let start = Instant::now();
-        let recovered: FpHashMap<Fingerprint, u64> = {
-            let mut nodes = self.inner.nodes.write();
-            let slot = nodes
-                .get_mut(node.index())
-                .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
-            match slot.status {
-                SlotStatus::Running => {
-                    return Err(Error::invalid(format!("{node} is still running")))
-                }
-                SlotStatus::Drained => {
-                    return Err(Error::invalid(format!(
-                        "{node} was drained; decommissioned nodes cannot restart"
-                    )))
-                }
-                SlotStatus::Crashed => {
-                    // spawn_node replays the node's WAL (if any) before
-                    // the server loop takes its first request. With
-                    // replicas to re-sync from, snapshot what it recovered
-                    // before traffic can reach it. Without the snapshot,
-                    // re-sync only installs what the node lacks.
-                    let fresh = spawn_node(node, self.inner.config.node_config.clone())?;
-                    let mut recovered = FpHashMap::default();
-                    if self.inner.config.replication > 1 {
-                        if let Ok(ControlReply::Scan(entries)) =
-                            self.control_via(fresh.sender.as_ref(), ControlMsg::Scan)
-                        {
-                            recovered.extend(entries);
-                        }
-                    }
-                    *slot = fresh;
-                    slot.recovered = true;
-                    recovered
-                }
+        self.check_crashed(node)?;
+        // spawn_node replays the node's WAL (if any) before the node
+        // serves its first request. With replicas to re-sync from,
+        // snapshot what it recovered before publishing it, so no traffic
+        // reaches it first; no slot lock is held meanwhile. Without the
+        // snapshot, re-sync only installs what the node lacks.
+        let mut fresh = spawn_node(node, self.inner.config.node_config.clone())?;
+        let mut recovered = FpHashMap::default();
+        if self.inner.config.replication > 1 {
+            if let Ok(ControlReply::Scan(entries)) =
+                self.control_via(node, fresh.driver.as_ref(), ControlMsg::Scan)
+            {
+                recovered.extend(entries);
             }
-        };
+        }
+        fresh.recovered = true;
+        self.inner.nodes.write()[node.index()] = fresh;
         let mut report = RecoveryReport::default();
         if let ControlReply::Stats(snap) = self.control(node, ControlMsg::Stats)? {
             report.recovered_entries = snap.stats.recovered_entries;
@@ -1502,21 +1441,16 @@ impl ShhcCluster {
         report.post_scan_entries = self.evacuate(node, &migration, &mut report)?;
         self.retire_migration();
         if report.post_scan_entries == 0 {
-            // Verified empty: decommission the thread.
-            let (sender, handle) = {
+            // Verified empty: decommission the node.
+            let (driver, handle) = {
                 let mut nodes = self.inner.nodes.write();
                 let slot = &mut nodes[node.index()];
                 slot.status = SlotStatus::Drained;
-                (slot.sender.take(), slot.handle.take())
+                (slot.driver.take(), slot.handle.take())
             };
-            let _ = self.control_via(sender.as_ref(), ControlMsg::Shutdown);
-            drop(sender);
-            if let Some(handle) = handle {
-                let _guard = self.inner.join_guard.lock();
-                handle
-                    .join()
-                    .map_err(|_| Error::Io(format!("{node} thread panicked")))?;
-            }
+            let _ = self.control_via(node, driver.as_ref(), ControlMsg::Shutdown);
+            drop(driver);
+            self.join(node, handle)?;
         }
         report.wall_clock = start.elapsed();
         Ok(report)
@@ -1938,28 +1872,35 @@ impl ShhcCluster {
         Ok(true)
     }
 
-    /// Sends a control message over an already-extracted sender (used
-    /// during decommission, when the slot no longer owns it, and on a
-    /// restarted node before its slot is published).
+    /// Sends a control message through a node's driver. Also used with a
+    /// driver the slot no longer owns (decommission) or does not own yet
+    /// (a restarted node before it is published). Never called with
+    /// `inner.nodes` held, since a caller-run node serves it under its
+    /// own lock.
     fn control_via(
         &self,
-        sender: Option<&Sender<NodeRequest>>,
+        node: NodeId,
+        driver: Option<&NodeDriver>,
         msg: ControlMsg,
     ) -> Result<ControlReply> {
-        let sender = sender.ok_or_else(|| Error::Unavailable("node is down".into()))?;
-        let (reply_tx, reply_rx) = unbounded();
-        sender
-            .send(NodeRequest::Control {
-                msg,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Unavailable("node is down".into()))?;
-        reply_rx
-            .recv_timeout(self.inner.config.request_timeout)
-            .map_err(|_| Error::Unavailable("node did not reply".into()))
+        match driver.ok_or_else(|| down(node))? {
+            NodeDriver::Inline(inline) => inline.control(msg).ok_or_else(|| down(node)),
+            NodeDriver::Thread(sender) => {
+                let (reply_tx, reply_rx) = unbounded();
+                sender
+                    .send(NodeRequest::Control {
+                        msg,
+                        reply: reply_tx,
+                    })
+                    .map_err(|_| down(node))?;
+                reply_rx
+                    .recv_timeout(self.inner.config.request_timeout)
+                    .map_err(|_| Error::Unavailable(format!("{node} did not reply")))
+            }
+        }
     }
 
-    /// Gracefully shuts down every node thread.
+    /// Gracefully shuts down every node.
     ///
     /// # Errors
     ///
@@ -1971,7 +1912,7 @@ impl ShhcCluster {
         }
         let mut nodes = self.inner.nodes.write();
         for (i, slot) in nodes.iter_mut().enumerate() {
-            slot.sender = None;
+            slot.driver = None;
             if let Some(handle) = slot.handle.take() {
                 handle
                     .join()
@@ -1988,14 +1929,26 @@ fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
     // cluster's *base* node config, so scoping happens exactly once.
     let mut config = config;
     config.durability = config.durability.scoped(format!("n{}", id.index()));
-    let (tx, rx) = unbounded();
     // `shards > 1` runs the node as a shard-per-worker pool (the
-    // dispatcher below spawns one worker thread per shard); `shards == 1`
-    // keeps the paper's single-threaded node as the measured baseline.
-    // A reader pool needs the dispatcher too — a single-shard node with
-    // readers runs as a one-worker sharded loop so its queries can be
-    // served concurrently from the mirror index.
-    let handle = if config.shards > 1 || config.wants_reader_pool() {
+    // dispatcher below spawns one worker thread per shard). A reader pool
+    // needs the dispatcher too — a single-shard node with readers runs as
+    // a one-worker sharded loop so its queries can be served concurrently
+    // from the mirror index. Other single-shard nodes run on their
+    // callers' threads unless they model device time: one caller cannot
+    // sleep for two nodes at once, so the pipelined plane's overlap of
+    // per-node sleeps needs a thread per node.
+    let threaded = config.shards > 1 || config.wants_reader_pool();
+    if !threaded && !config.injects_service_time() {
+        let node = HybridHashNode::new(id, config)?;
+        return Ok(NodeSlot {
+            driver: Some(NodeDriver::Inline(Arc::new(InlineNode::new(node)))),
+            handle: None,
+            status: SlotStatus::Running,
+            recovered: false,
+        });
+    }
+    let (tx, rx) = unbounded();
+    let handle = if threaded {
         let shards = ShardedNode::new(id, config.clone())?.into_shards();
         std::thread::Builder::new()
             .name(format!("shhc-{id}"))
@@ -2008,7 +1961,7 @@ fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
     }
     .map_err(|e| Error::Io(format!("failed to spawn node thread: {e}")))?;
     Ok(NodeSlot {
-        sender: Some(tx),
+        driver: Some(NodeDriver::Thread(tx)),
         handle: Some(handle),
         status: SlotStatus::Running,
         recovered: false,
@@ -2031,6 +1984,10 @@ fn verify_reply(node: NodeId, correlation: u64, bytes: &[u8]) -> Result<Frame> {
         )));
     }
     Ok(reply)
+}
+
+fn down(node: NodeId) -> Error {
+    Error::Unavailable(format!("{node} is down"))
 }
 
 fn unexpected(frame: Frame) -> Error {

@@ -1,14 +1,26 @@
 //! The per-node server: wire-format data plane plus a typed control
-//! plane, in two execution flavours.
+//! plane, in three execution flavours.
 //!
-//! - [`node_loop`] — the paper's node: one thread owns a
-//!   [`HybridHashNode`] exclusively and serves one frame at a time (kept
-//!   as the measured single-core baseline),
+//! - [`InlineNode`] — the caller-run node: a single-shard node whose
+//!   config injects no service time has no thread of its own. Every data
+//!   frame and control message runs on the thread that waits for its
+//!   reply, under the node's mutex, so a round trip costs a lock instead
+//!   of two thread handoffs. This is how production-shaped nodes run.
+//! - [`node_loop`] — the threaded single-shard node: one thread owns a
+//!   [`HybridHashNode`] exclusively and serves one frame at a time. Nodes
+//!   that model device time (`service_delay` or `batch_overhead`) keep
+//!   it: a caller cannot sleep for two nodes at once, so the pipelined
+//!   plane's overlap of per-node service times needs one thread per node.
 //! - [`sharded_node_loop`] — the multi-core node: a dispatcher thread
 //!   splits every data frame across `S` prefix-routed shards, each owned
 //!   by its own **worker thread**. Sub-frames from different clients
 //!   interleave freely across the workers, so a small frame no longer
 //!   waits head-of-line behind a deep frame that targets other shards.
+//!   Reader-pool nodes run here too, even with one shard.
+//!
+//! The first two drivers share one step function per message kind:
+//! [`serve_data`] (decode, execute, WAL group commit, encode) and
+//! [`serve_control`], so a frame gets byte-identical answers on either.
 //!
 //! A sharded lookup-insert runs in two phases. Every involved worker
 //! *classifies* its slice (read-only, with coalesced flash reads); the
@@ -58,8 +70,8 @@ pub struct NodeSnapshot {
     pub device: DeviceStats,
     /// FTL counters.
     pub ftl: FtlStats,
-    /// Intra-node shards executing on this node (1 = the single-threaded
-    /// baseline loop).
+    /// Intra-node shards executing on this node (1 = a single-shard
+    /// node, caller-run or threaded).
     pub shards: u32,
     /// Reader-pool threads attached to this node (0 = no pool; queries
     /// are served by the owning server/worker threads).
@@ -201,8 +213,61 @@ fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
     }
 }
 
-/// The node server main loop: owns the node exclusively, serving requests
-/// until `Shutdown` arrives or every sender is dropped.
+/// Serves one wire-encoded data frame: decode, execute, group-commit
+/// the WAL, encode the reply. The step both single-shard drivers run.
+fn serve_data(node: &mut HybridHashNode, frame: &Bytes, scratch: &mut BytesMut) -> Bytes {
+    let response = handle_frame(node, frame);
+    // Group-commit the WAL before acking (no-op for volatile nodes): once
+    // the client sees the reply, the frame's mutations survive a crash.
+    let response = match node.wal_commit() {
+        Ok(()) => response,
+        Err(e) => Frame::Error {
+            correlation: 0,
+            message: format!("wal commit failed: {e}"),
+        },
+    };
+    encode_reusing(&response, scratch)
+}
+
+/// Serves one control message; `queue_peak` is the driver's overload
+/// gauge, reported by `Stats`. After `Shutdown` the node is closed and
+/// the driver must serve nothing more.
+fn serve_control(node: &mut HybridHashNode, msg: ControlMsg, queue_peak: u64) -> ControlReply {
+    let done = |r: shhc_types::Result<Nanos>| match r {
+        Ok(_) => ControlReply::Done,
+        Err(e) => ControlReply::Failed(e.to_string()),
+    };
+    match msg {
+        ControlMsg::Stats => {
+            let mut snap = snapshot_of(node);
+            snap.stats.queue_peak = queue_peak;
+            ControlReply::Stats(Box::new(snap))
+        }
+        ControlMsg::Flush => done(node.flush()),
+        ControlMsg::Scan => match node.scan() {
+            Ok(entries) => ControlReply::Scan(entries),
+            Err(e) => ControlReply::Failed(e.to_string()),
+        },
+        // A single-shard node has one shard and one cache: nothing to
+        // re-split or shift.
+        ControlMsg::Autotune(_) => ControlReply::Autotune(Box::new(AutotuneReport {
+            id: node.id(),
+            shards: 1,
+            imbalance: 1.0,
+            resplit: false,
+            moved_entries: 0,
+            cache_shift: None,
+        })),
+        // Clean shutdown: flush + close the WAL so restart replays only
+        // segment metadata. A *crashed* node never gets here — it is
+        // dropped unclosed, losing uncommitted state (and tearing log
+        // tails under a FaultPlan).
+        ControlMsg::Shutdown => done(node.close()),
+    }
+}
+
+/// The threaded single-shard driver: owns the node exclusively, serving
+/// requests until `Shutdown` arrives or every sender is dropped.
 pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
     // One reply-encode scratch buffer for the thread's lifetime: replies
     // reuse its allocation instead of growing a fresh buffer per frame.
@@ -214,72 +279,93 @@ pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
     while let Ok(request) = rx.recv() {
         queue_peak = queue_peak.max(rx.len() as u64 + 1);
         match request {
+            // A dropped reply channel means the client gave up (timeout
+            // or crash); nothing for the server to do.
             NodeRequest::Data { frame, reply } => {
-                let response = handle_frame(&mut node, &frame);
-                // Group-commit the WAL before acking (no-op for volatile
-                // nodes): once the client sees the reply, the frame's
-                // mutations survive a crash.
-                if let Err(e) = node.wal_commit() {
-                    let _ = reply.send(encode_reusing(
-                        &Frame::Error {
-                            correlation: 0,
-                            message: format!("wal commit failed: {e}"),
-                        },
-                        &mut scratch,
-                    ));
-                    continue;
-                }
-                // A dropped reply channel means the client gave up
-                // (timeout or crash); nothing for the server to do.
-                let _ = reply.send(encode_reusing(&response, &mut scratch));
+                let _ = reply.send(serve_data(&mut node, &frame, &mut scratch));
             }
-            NodeRequest::Control { msg, reply } => match msg {
-                ControlMsg::Stats => {
-                    let mut snap = snapshot_of(&node);
-                    snap.stats.queue_peak = queue_peak;
-                    let _ = reply.send(ControlReply::Stats(Box::new(snap)));
-                }
-                ControlMsg::Flush => {
-                    let r = match node.flush() {
-                        Ok(_) => ControlReply::Done,
-                        Err(e) => ControlReply::Failed(e.to_string()),
-                    };
-                    let _ = reply.send(r);
-                }
-                ControlMsg::Scan => {
-                    let r = match node.scan() {
-                        Ok(entries) => ControlReply::Scan(entries),
-                        Err(e) => ControlReply::Failed(e.to_string()),
-                    };
-                    let _ = reply.send(r);
-                }
-                ControlMsg::Autotune(_) => {
-                    // The single-threaded node has one shard and one
-                    // cache: nothing to re-split or shift.
-                    let _ = reply.send(ControlReply::Autotune(Box::new(AutotuneReport {
-                        id: node.id(),
-                        shards: 1,
-                        imbalance: 1.0,
-                        resplit: false,
-                        moved_entries: 0,
-                        cache_shift: None,
-                    })));
-                }
-                ControlMsg::Shutdown => {
-                    // Clean shutdown: flush + close the WAL so restart
-                    // replays only segment metadata. A *crashed* node
-                    // never gets here — its channel just disconnects and
-                    // the store drops unclosed, losing uncommitted state
-                    // (and tearing log tails under a FaultPlan).
-                    let r = match node.close() {
-                        Ok(_) => ControlReply::Done,
-                        Err(e) => ControlReply::Failed(e.to_string()),
-                    };
-                    let _ = reply.send(r);
+            NodeRequest::Control { msg, reply } => {
+                let shutdown = matches!(msg, ControlMsg::Shutdown);
+                let _ = reply.send(serve_control(&mut node, msg, queue_peak));
+                if shutdown {
                     break;
                 }
-            },
+            }
         }
+    }
+}
+
+/// The caller-run driver: a single-shard node with no thread of its own.
+/// Each frame runs on the thread that waits for its reply, under the
+/// node's mutex, so frames are still served one at a time in lock order.
+pub(crate) struct InlineNode {
+    state: Mutex<InlineState>,
+    /// Callers waiting on or holding `state`, the current holder included.
+    callers: AtomicU64,
+    /// High-water mark of `callers`: the overload gauge `Stats` reports
+    /// as `queue_peak`, the lock-queue analogue of the threaded driver's
+    /// inbound-queue depth.
+    queue_peak: AtomicU64,
+}
+
+struct InlineState {
+    /// `None` once the node was killed or shut down.
+    node: Option<HybridHashNode>,
+    /// Reply-encode scratch buffer, reused across frames.
+    scratch: BytesMut,
+}
+
+impl InlineNode {
+    pub(crate) fn new(node: HybridHashNode) -> Self {
+        InlineNode {
+            state: Mutex::new(InlineState {
+                node: Some(node),
+                scratch: BytesMut::new(),
+            }),
+            callers: AtomicU64::new(0),
+            queue_peak: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs `f` under the node's lock, counting this caller in the
+    /// overload gauge while it waits and runs. `f` gets the gauge's
+    /// high-water mark as of this call.
+    fn with_state<R>(&self, f: impl FnOnce(&mut InlineState, u64) -> R) -> R {
+        let depth = self.callers.fetch_add(1, Ordering::Relaxed) + 1;
+        let peak = self
+            .queue_peak
+            .fetch_max(depth, Ordering::Relaxed)
+            .max(depth);
+        let out = f(&mut self.state.lock(), peak);
+        self.callers.fetch_sub(1, Ordering::Relaxed);
+        out
+    }
+
+    /// Serves one data frame on the calling thread; `None` when the node
+    /// is down.
+    pub(crate) fn serve(&self, frame: &Bytes) -> Option<Bytes> {
+        self.with_state(|state, _| {
+            let node = state.node.as_mut()?;
+            Some(serve_data(node, frame, &mut state.scratch))
+        })
+    }
+
+    /// Serves one control message on the calling thread; `None` when the
+    /// node is down. `Shutdown` closes the node under the lock and takes
+    /// it out, so later frames find it down.
+    pub(crate) fn control(&self, msg: ControlMsg) -> Option<ControlReply> {
+        self.with_state(|state, peak| {
+            if matches!(msg, ControlMsg::Shutdown) {
+                return Some(serve_control(&mut state.node.take()?, msg, peak));
+            }
+            Some(serve_control(state.node.as_mut()?, msg, peak))
+        })
+    }
+
+    /// Crash: takes the node out once any in-flight frame has finished.
+    /// The caller drops it unclosed, losing what a crash loses.
+    pub(crate) fn kill(&self) -> Option<HybridHashNode> {
+        self.state.lock().node.take()
     }
 }
 
@@ -316,15 +402,11 @@ fn handle_frame(node: &mut HybridHashNode, frame: &Bytes) -> Frame {
     // service times. `batch_overhead` is charged once per data frame —
     // the per-message cost batching amortizes; `service_delay` once per
     // fingerprint in the frame.
-    let per_op = node.config().service_delay;
-    let per_frame = node.config().batch_overhead;
-    if !per_op.is_zero() || !per_frame.is_zero() {
+    let config = node.config();
+    if config.injects_service_time() {
         let ops = ops_in(&decoded);
         if ops > 0 {
-            let delay = per_frame + per_op * ops;
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
+            std::thread::sleep(config.batch_overhead + config.service_delay * ops);
         }
     }
     let correlation = decoded.correlation();
@@ -1965,6 +2047,110 @@ mod tests {
         .unwrap();
         assert!(matches!(ctl_rx.recv().unwrap(), ControlReply::Done));
         handle.join().unwrap();
+    }
+
+    /// The caller-run driver and the node thread run the same step
+    /// functions: one seeded frame sequence gets byte-identical replies
+    /// and identical node counters from both. Only `queue_peak` may
+    /// differ — each driver defines its own overload gauge.
+    #[test]
+    fn caller_run_and_threaded_drivers_answer_identically() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED_D81E);
+        // A small key pool so inserts, records and removes collide.
+        let pool: Vec<Fingerprint> = (0..96u64)
+            .map(|i| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        let mut frames: Vec<Bytes> = Vec::new();
+        for correlation in 0..400u64 {
+            let n = rng.gen_range(1..12usize);
+            let fps: Vec<Fingerprint> =
+                (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let frame = match rng.gen_range(0..7u32) {
+                0 | 1 => Frame::LookupInsertReq {
+                    correlation,
+                    stream: StreamId::new(0),
+                    fingerprints: fps,
+                },
+                2 => Frame::RecordReq {
+                    correlation,
+                    pairs: fps.iter().map(|&fp| (fp, rng.gen::<u64>() >> 1)).collect(),
+                },
+                3 => Frame::QueryReq {
+                    correlation,
+                    admission: if rng.gen_bool(0.5) {
+                        Admission::Normal
+                    } else {
+                        Admission::Bypass
+                    },
+                    fingerprints: fps,
+                },
+                4 => Frame::RemoveReq {
+                    correlation,
+                    fingerprints: fps,
+                },
+                5 => Frame::ScanRangeReq {
+                    correlation,
+                    range: KeyRange::new(rng.gen(), rng.gen()),
+                    after: None,
+                    limit: rng.gen_range(1..40),
+                },
+                _ => Frame::MigrateReq {
+                    correlation,
+                    pairs: fps.iter().map(|&fp| (fp, rng.gen::<u64>() >> 1)).collect(),
+                },
+            };
+            frames.push(shhc_net::encode(&frame));
+            if correlation == 200 {
+                frames.push(Bytes::from_static(b"\xff\xff\xff"));
+            }
+        }
+
+        let inline =
+            InlineNode::new(HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap());
+        let (tx, handle) = spawn_test_node();
+        for (i, frame) in frames.iter().enumerate() {
+            let (reply_tx, reply_rx) = unbounded();
+            tx.send(NodeRequest::Data {
+                frame: frame.clone(),
+                reply: reply_tx,
+            })
+            .unwrap();
+            let threaded = reply_rx.recv().unwrap();
+            let caller_run = inline.serve(frame).unwrap();
+            assert_eq!(caller_run, threaded, "frame {i}: replies differ");
+        }
+        let mut threaded = node_stats(&tx);
+        let Some(ControlReply::Stats(mut caller_run)) = inline.control(ControlMsg::Stats) else {
+            panic!("caller-run node did not answer Stats");
+        };
+        assert!(threaded.stats.ops() > 0);
+        threaded.stats.queue_peak = 0;
+        caller_run.stats.queue_peak = 0;
+        assert_eq!(format!("{caller_run:?}"), format!("{threaded:?}"));
+        drop(tx);
+        handle.join().unwrap();
+    }
+
+    /// A caller-run node that was killed or shut down answers nothing.
+    #[test]
+    fn caller_run_node_is_down_after_kill_or_shutdown() {
+        let new = || {
+            InlineNode::new(HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap())
+        };
+        let ping = shhc_net::encode(&Frame::Ping { correlation: 7 });
+        let killed = new();
+        assert!(killed.serve(&ping).is_some());
+        assert!(killed.kill().is_some());
+        assert!(killed.serve(&ping).is_none());
+        assert!(killed.control(ControlMsg::Stats).is_none());
+        let closed = new();
+        assert!(matches!(
+            closed.control(ControlMsg::Shutdown),
+            Some(ControlReply::Done)
+        ));
+        assert!(closed.serve(&ping).is_none());
+        assert!(closed.kill().is_none());
     }
 
     /// The sharded server answers the full frame vocabulary exactly like

@@ -111,10 +111,9 @@ impl FrontendConfig {
 struct FrontendInner {
     cluster: ShhcCluster,
     batcher: SharedBatcher<LookupAnswer>,
-    /// Wakes the flusher when a submission opens a fresh batch (its age
-    /// alarm must be re-armed). Dropping the last handle disconnects the
-    /// channel, which is the flusher's exit signal.
-    wake_tx: Sender<()>,
+    /// Never sent on: dropping the last handle disconnects the channel,
+    /// which is the flusher's exit signal.
+    _exit_tx: Sender<()>,
 }
 
 impl FrontendInner {
@@ -248,7 +247,7 @@ impl SharedFrontend {
     ///
     /// Panics if `config.batch_size` is zero.
     pub fn with_config(cluster: ShhcCluster, config: FrontendConfig) -> Self {
-        let (wake_tx, wake_rx) = unbounded();
+        let (exit_tx, exit_rx) = unbounded();
         let inner = Arc::new(FrontendInner {
             cluster,
             batcher: SharedBatcher::with_admission(
@@ -257,13 +256,13 @@ impl SharedFrontend {
                 config.admission,
                 config.ingest,
             ),
-            wake_tx,
+            _exit_tx: exit_tx,
         });
         let weak = Arc::downgrade(&inner);
         let tuner = config.tuner.map(BatchTuner::new);
         std::thread::Builder::new()
             .name("shhc-fe-flusher".into())
-            .spawn(move || flusher_loop(weak, wake_rx, tuner))
+            .spawn(move || flusher_loop(weak, exit_rx, tuner))
             .expect("spawn front-end flusher thread");
         SharedFrontend { inner }
     }
@@ -291,13 +290,10 @@ impl SharedFrontend {
         tenant: Option<u32>,
         fp: Fingerprint,
     ) -> (Ticket<LookupAnswer>, bool) {
+        // A submission that opens a batch does not wake the flusher: its
+        // idle sleep is at most max_age/2, so it sees the batch before the
+        // batch's age deadline anyway.
         let submitted = self.inner.batcher.submit_from(tenant, fp);
-        if submitted.opened {
-            // Re-arm the flusher's age alarm for the fresh batch. A full
-            // wake channel is impossible to miss: the flusher drains it
-            // before sleeping.
-            let _ = self.inner.wake_tx.send(());
-        }
         if let Some(batch) = submitted.closed {
             // The closing client pays the round-trip; everyone else in
             // the batch just sees their ticket become ready.
@@ -359,8 +355,8 @@ impl SharedFrontend {
 /// deadline, releases it when due, and dispatches it. With a tuner
 /// attached it also ticks the controller, which retunes the batcher's
 /// close limits in place. Exits when every front-end handle is gone
-/// (the wake channel disconnects).
-fn flusher_loop(weak: Weak<FrontendInner>, wake_rx: Receiver<()>, mut tuner: Option<BatchTuner>) {
+/// (the exit channel disconnects).
+fn flusher_loop(weak: Weak<FrontendInner>, exit_rx: Receiver<()>, mut tuner: Option<BatchTuner>) {
     loop {
         let sleep = match weak.upgrade() {
             Some(inner) => {
@@ -374,9 +370,9 @@ fn flusher_loop(weak: Weak<FrontendInner>, wake_rx: Receiver<()>, mut tuner: Opt
                         .saturating_duration_since(Instant::now())
                         .max(MIN_TICK),
                     // With an empty queue there is no deadline; sleeping
-                    // half the age limit bounds a just-missed
-                    // submission's extra wait to max_age/2 (the wake
-                    // channel normally cuts that to ~zero). Re-read the
+                    // at most half the age limit means a batch opened
+                    // meanwhile is seen before its deadline, and no
+                    // submission has to wake the flusher. Re-read the
                     // limit each pass — the tuner may have moved it.
                     None => {
                         (inner.batcher.max_age() / 2).clamp(MIN_TICK, Duration::from_millis(500))
@@ -386,14 +382,8 @@ fn flusher_loop(weak: Weak<FrontendInner>, wake_rx: Receiver<()>, mut tuner: Opt
             // Every handle is gone; nothing can ever be submitted again.
             None => return,
         };
-        match wake_rx.recv_timeout(sleep) {
-            Ok(()) => {
-                // New batch opened: drain stale wakeups and re-arm.
-                while wake_rx.try_recv().is_ok() {}
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
+        if let Err(RecvTimeoutError::Disconnected) = exit_rx.recv_timeout(sleep) {
+            return;
         }
         let Some(inner) = weak.upgrade() else { return };
         if let Some(batch) = inner.batcher.poll() {

@@ -196,6 +196,16 @@ impl NodeConfig {
         self.backend.concurrent() && self.readers > 0
     }
 
+    /// Whether this configuration models device time by really
+    /// sleeping: a nonzero [`NodeConfig::service_delay`] or
+    /// [`NodeConfig::batch_overhead`]. The cluster keeps a server thread
+    /// for such nodes so concurrent frames to different nodes overlap
+    /// their sleeps; other single-shard nodes run on their callers'
+    /// threads.
+    pub fn injects_service_time(&self) -> bool {
+        !self.service_delay.is_zero() || !self.batch_overhead.is_zero()
+    }
+
     /// The per-shard configuration of one slice of this node: the SSD
     /// geometry, RAM write buffer, cache capacity and bloom sizing are
     /// divided across the shards (a shard owns a *slice* of the node's
@@ -329,9 +339,11 @@ pub struct NodeStats {
     /// in [`NodeStats::busy`]).
     pub recovery_busy: Nanos,
     /// Peak depth observed on the node's inbound request queue (frames
-    /// waiting plus the one being served). The overload gauge: a node
-    /// keeping up hovers near 1; a saturated node's peak grows with the
-    /// burst it absorbed. Merged with `max`, not summed — it is a
+    /// waiting plus the one being served). For a node run on its
+    /// callers' threads it counts the callers waiting on or holding the
+    /// node's lock, the current holder included. The overload gauge: a
+    /// node keeping up hovers near 1; a saturated node's peak grows with
+    /// the burst it absorbed. Merged with `max`, not summed — it is a
     /// high-water mark, not a counter.
     pub queue_peak: u64,
 }

@@ -87,7 +87,13 @@ fn shed_tickets_always_resolve_under_concurrent_overload() {
 /// into backpressure, never into loss.
 #[test]
 fn block_admission_loses_nothing_under_producer_threads() {
-    let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+    // The burst must outrun the drain for the gate to fill. Nodes that
+    // serve frames on the caller's thread drain a 4-fingerprint batch in
+    // microseconds, as fast as four unpaced producers refill it on a
+    // two-core machine, so model a slower cluster: 200 µs per frame.
+    let mut config = ClusterConfig::small_test(2);
+    config.node_config.batch_overhead = Duration::from_micros(200);
+    let cluster = ShhcCluster::spawn(config).unwrap();
     let config = FrontendConfig::new(4, Duration::from_millis(2))
         .admission(AdmissionPolicy::Block { max_pending: 8 });
     let fe = SharedFrontend::with_config(cluster.clone(), config);
