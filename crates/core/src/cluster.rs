@@ -38,6 +38,15 @@
 //! All nodes of a cluster share one config, so a cluster is either
 //! entirely caller-run or entirely threaded.
 //!
+//! Caller-run trades overlap for handoffs: a caller serves one call's
+//! frames (every node, every replica) one after another, where node
+//! threads would have run them in parallel. That wins when a frame's
+//! node work is small next to a thread handoff (~15 µs) — the backup
+//! service's few-fingerprint frames, with or without replication or a
+//! spare core — and loses when a call carries hundreds of fingerprints
+//! per node while cores sit idle. README's performance section has both
+//! measurements.
+//!
 //! # Control plane: epoch-versioned membership
 //!
 //! Routing state is an immutable, epoch-stamped [`RingView`] behind an

@@ -5,7 +5,8 @@
 //!   config injects no service time has no thread of its own. Every data
 //!   frame and control message runs on the thread that waits for its
 //!   reply, under the node's mutex, so a round trip costs a lock instead
-//!   of two thread handoffs. This is how production-shaped nodes run.
+//!   of two thread handoffs. This is how production-shaped nodes run;
+//!   the cluster module docs say when it beats a thread per node.
 //! - [`node_loop`] — the threaded single-shard node: one thread owns a
 //!   [`HybridHashNode`] exclusively and serves one frame at a time. Nodes
 //!   that model device time (`service_delay` or `batch_overhead`) keep
@@ -1169,6 +1170,8 @@ pub(crate) fn sharded_node_loop(
         worker_txs.push(tx);
         worker_rxs.push(wrx);
     }
+    // Kept to drain what the workers leave queued behind their shutdown.
+    let leftovers: Vec<Receiver<ShardTask>> = worker_rxs.clone();
     // Reader pool: clone every shard's mirror index *before* the shards
     // move into their worker threads. All-or-nothing — a pool that could
     // only answer for some shards would have to bounce the rest back to
@@ -1220,7 +1223,9 @@ pub(crate) fn sharded_node_loop(
         })
         .collect();
     let mut reader_handles: Vec<JoinHandle<()>> = Vec::new();
+    let mut pool_leftovers = None;
     if let Some(prx) = pool_rx {
+        pool_leftovers = Some(prx.clone());
         let pool = shared.pool.as_ref().expect("pool channel implies pool");
         let per_op_cost = config.cpu_per_op + config.ram_probe;
         for r in 0..pool.readers {
@@ -1285,6 +1290,20 @@ pub(crate) fn sharded_node_loop(
     }
     for handle in reader_handles {
         let _ = handle.join();
+    }
+    // A worker that exits on a crash leaves behind it whatever was queued
+    // after its shutdown: tasks of frames still in flight, such as the
+    // apply half another worker sent it. Those tasks hold their frame's
+    // job, the job holds the worker senders, so the queue would keep
+    // itself alive and the caller would wait out its whole timeout. With
+    // every worker and reader gone nothing sends any more; dropping the
+    // leftovers drops each job's reply sender, and its caller sees the
+    // node down at once.
+    for rx in &leftovers {
+        while rx.try_recv().is_ok() {}
+    }
+    if let Some(prx) = pool_leftovers {
+        while prx.try_recv().is_ok() {}
     }
 }
 
@@ -1827,7 +1846,7 @@ fn run_autotune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, TryRecvError};
     use shhc_node::{NodeConfig, ShardedNode};
     use shhc_types::StreamId;
 
@@ -1844,6 +1863,44 @@ mod tests {
         let (tx, rx) = unbounded();
         let handle = std::thread::spawn(move || sharded_node_loop(config, node.into_shards(), rx));
         (tx, handle)
+    }
+
+    /// A crash (the cluster dropping the request channel) must not
+    /// strand a frame in flight: tasks queued behind a worker's shutdown
+    /// go with the node, so once it is gone every reply is decided —
+    /// answered or disconnected — and no caller waits out its timeout.
+    #[test]
+    fn killed_sharded_node_decides_every_reply() {
+        for round in 0..50u64 {
+            let (tx, handle) = spawn_test_sharded(4);
+            let replies: Vec<Receiver<Bytes>> = (0..8u64)
+                .map(|i| {
+                    let fingerprints = (0..64u64)
+                        .map(|k| Fingerprint::from_u64((round << 32) | (i << 16) | k))
+                        .collect();
+                    let frame = Frame::LookupInsertReq {
+                        correlation: i,
+                        stream: StreamId::new(0),
+                        fingerprints,
+                    };
+                    let (reply_tx, reply_rx) = unbounded();
+                    tx.send(NodeRequest::Data {
+                        frame: shhc_net::encode(&frame),
+                        reply: reply_tx,
+                    })
+                    .unwrap();
+                    reply_rx
+                })
+                .collect();
+            drop(tx);
+            handle.join().unwrap();
+            for (i, rx) in replies.iter().enumerate() {
+                assert!(
+                    !matches!(rx.try_recv(), Err(TryRecvError::Empty)),
+                    "round {round}: frame {i} is still pending after the node exited"
+                );
+            }
+        }
     }
 
     fn rpc(tx: &Sender<NodeRequest>, frame: Frame) -> Frame {

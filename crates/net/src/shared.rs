@@ -305,10 +305,6 @@ pub struct Submitted<V> {
     /// The batch this submission closed, when it tripped the size or age
     /// limit. The caller owns its dispatch.
     pub closed: Option<ClosedBatch<V>>,
-    /// True when this submission opened a fresh batch (the pending queue
-    /// was empty) — the cue for timer-driven owners to re-arm their age
-    /// alarm.
-    pub opened: bool,
     /// True when admission control shed this submission: the ticket is
     /// already resolved with [`Error::Overloaded`] and nothing was
     /// queued. Callers that can retry should back off first.
@@ -649,7 +645,6 @@ impl<V> SharedBatcher<V> {
             cell: Arc::clone(&cell),
         };
         let mut state = self.state.lock();
-        let opened = state.pending.is_empty();
         state.pending.push(PendingEntry {
             fingerprint,
             slot: AnswerSlot {
@@ -670,7 +665,6 @@ impl<V> SharedBatcher<V> {
         Submitted {
             ticket,
             closed,
-            opened,
             shed: false,
         }
     }
@@ -686,7 +680,6 @@ impl<V> SharedBatcher<V> {
         Submitted {
             ticket,
             closed: None,
-            opened: false,
             shed: true,
         }
     }
@@ -854,9 +847,9 @@ mod tests {
     fn size_trigger_returns_batch_to_closer() {
         let b: SharedBatcher<u64> = SharedBatcher::new(3, Duration::from_secs(60));
         let s1 = b.submit(fp(1));
-        assert!(s1.opened && s1.closed.is_none());
+        assert!(s1.closed.is_none());
         let s2 = b.submit(fp(2));
-        assert!(!s2.opened && s2.closed.is_none());
+        assert!(s2.closed.is_none());
         let s3 = b.submit(fp(3));
         let batch = s3.closed.expect("size limit");
         assert_eq!(batch.len(), 3);
@@ -1219,7 +1212,7 @@ mod tests {
         assert!(!s1.shed && !s2.shed);
         let s3 = b.submit(fp(3));
         assert!(s3.shed, "third submission past the bound is shed");
-        assert!(s3.closed.is_none() && !s3.opened);
+        assert!(s3.closed.is_none());
         assert!(
             s3.ticket.is_ready(),
             "a shed ticket is resolved at submit time — it can never hang"

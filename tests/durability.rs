@@ -233,11 +233,29 @@ fn fresh_cluster_reopens_cleanly_shut_down_state() {
 /// serving and later frames find it down, so every call returns `Ok` or
 /// `Unavailable` — none panics or hangs — and every record the cluster
 /// acked survives a final warm restart of every node with its value.
+/// With `replication = 1` the WAL is the only copy.
 #[test]
 fn kill_restart_under_live_traffic_keeps_acked_records() {
-    let dir = wal_dir("live-kill");
+    kill_restart_under_live_traffic(1, "live-kill");
+}
+
+/// The same churn with `replication = 2`: each warm restart also scans
+/// the recovered node and re-syncs it from its peers, so this covers the
+/// frame order re-sync relies on — a record scattered before a restart
+/// must reach the surviving replica before re-sync scans it.
+#[test]
+fn kill_restart_under_live_traffic_keeps_acked_records_replicated() {
+    kill_restart_under_live_traffic(2, "live-kill-r2");
+}
+
+fn kill_restart_under_live_traffic(replication: usize, tag: &str) {
+    let dir = wal_dir(tag);
     let nodes = 3;
-    let cluster = ShhcCluster::spawn(durable_config(nodes, &dir)).unwrap();
+    // Room for every replica's copy even when SHHC_TEST_SHARDS splits
+    // each node's flash into slices.
+    let mut config = durable_config(nodes, &dir).with_replication(replication);
+    config.node_config.flash = shhc_flash::FlashConfig::medium_test();
+    let cluster = ShhcCluster::spawn(config).unwrap();
     let stop = AtomicBool::new(false);
     let acked: Vec<(Fingerprint, u64)> = std::thread::scope(|s| {
         let clients: Vec<_> = (0..2u64)
@@ -245,8 +263,7 @@ fn kill_restart_under_live_traffic_keeps_acked_records() {
                 let (cluster, stop) = (&cluster, &stop);
                 s.spawn(move || {
                     let mut acked = Vec::new();
-                    // Paced and capped so the traffic spans the kills
-                    // and fits the small test flash.
+                    // Paced and capped so the traffic spans the kills.
                     for round in 0..96u64 {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -287,19 +304,26 @@ fn kill_restart_under_live_traffic_keeps_acked_records() {
     });
     assert!(!acked.is_empty(), "no record was acked");
 
+    let fps: Vec<Fingerprint> = acked.iter().map(|(fp, _)| *fp).collect();
+    let recorded: Vec<u64> = acked.iter().map(|(_, v)| *v).collect();
+    let check = |when: &str| {
+        let (exists, values) = cluster
+            .query_batch_values_with(&fps, shhc::Admission::Normal)
+            .unwrap();
+        assert!(exists.iter().all(|e| *e), "an acked record was lost {when}");
+        assert_eq!(values, recorded, "an acked record lost its value {when}");
+    };
+    // Checked before the final restarts too: with replicas, restarting
+    // every node re-syncs each from its peers, which would paper over an
+    // entry the churn left on only one replica.
+    check("during the churn");
     for i in 0..nodes {
         cluster.kill_node(NodeId::new(i)).unwrap();
     }
     for i in 0..nodes {
         cluster.restart_node(NodeId::new(i)).unwrap();
     }
-    let fps: Vec<Fingerprint> = acked.iter().map(|(fp, _)| *fp).collect();
-    let (exists, values) = cluster
-        .query_batch_values_with(&fps, shhc::Admission::Normal)
-        .unwrap();
-    assert!(exists.iter().all(|e| *e), "an acked record was lost");
-    let recorded: Vec<u64> = acked.iter().map(|(_, v)| *v).collect();
-    assert_eq!(values, recorded, "an acked record lost its value");
+    check("after a warm restart of every node");
     cluster.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -87,12 +87,32 @@ fn shed_tickets_always_resolve_under_concurrent_overload() {
 /// into backpressure, never into loss.
 #[test]
 fn block_admission_loses_nothing_under_producer_threads() {
-    // The burst must outrun the drain for the gate to fill. Nodes that
-    // serve frames on the caller's thread drain a 4-fingerprint batch in
-    // microseconds, as fast as four unpaced producers refill it on a
-    // two-core machine, so model a slower cluster: 200 µs per frame.
+    // The default cluster: caller-run nodes, so the producer that closes
+    // a batch (or the flusher) serves it inline while the others wait at
+    // the gate. They drain a batch about as fast as four producers refill
+    // it on a two-core machine, so whether the gate fills is left open.
+    block_admission_burst(ClusterConfig::small_test(2));
+}
+
+/// The same burst against nodes that model a 200 µs drain per frame
+/// (threaded nodes): the burst now outruns the drain, so the 8-deep gate
+/// must fill and producers must wait — and still nothing is lost.
+#[test]
+fn block_admission_blocks_and_loses_nothing_under_a_slow_drain() {
     let mut config = ClusterConfig::small_test(2);
     config.node_config.batch_overhead = Duration::from_micros(200);
+    let blocked = block_admission_burst(config);
+    assert!(
+        blocked > 0,
+        "400 submissions through an 8-deep gate must block sometimes"
+    );
+}
+
+/// Four unpaced producers push 100 fingerprints each through a
+/// `Block { max_pending: 8 }` front-end over `config`'s cluster, then
+/// check that every submission was admitted and answered. Returns how
+/// many submissions had to wait at the gate.
+fn block_admission_burst(config: ClusterConfig) -> u64 {
     let cluster = ShhcCluster::spawn(config).unwrap();
     let config = FrontendConfig::new(4, Duration::from_millis(2))
         .admission(AdmissionPolicy::Block { max_pending: 8 });
@@ -128,12 +148,8 @@ fn block_admission_loses_nothing_under_producer_threads() {
     assert_eq!(stats.admitted, threads * per_thread);
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.outstanding, 0, "everything drained");
-    // The bound really was hit: producers had to wait at least once.
-    assert!(
-        stats.blocked > 0,
-        "400 submissions through an 8-deep gate must block sometimes"
-    );
     cluster.shutdown().unwrap();
+    stats.blocked
 }
 
 /// Fair shedding isolates tenants: a noisy tenant offering 10× its quota
